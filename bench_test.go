@@ -204,25 +204,19 @@ func BenchmarkMillionPeerRound(b *testing.B) {
 	}
 }
 
-// BenchmarkBMatching times Algorithm 3's O(n²·b0) recurrence serial vs the
-// pooled tile handoff (results are byte-identical; only the schedule
-// differs), at Figure 11's shape: b0 = 3 slots over a 4000-peer network.
+// BenchmarkBMatching times Algorithm 3's serial O(n²·b0) recurrence with
+// Figure 11's b0 = 3 slots over a 4000-peer network (twice Figure 11's
+// population).
 func BenchmarkBMatching(b *testing.B) {
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res, err := analytic.BMatching(analytic.BMatchingOptions{
-					N: 4000, P: 0.005, B0: 3, Workers: workers,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.MatchProbAny[0] <= 0 {
-					b.Fatal("degenerate matching result")
-				}
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		res, err := analytic.BMatching(analytic.BMatchingOptions{N: 4000, P: 0.005, B0: 3})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.MatchProbAny[0] <= 0 {
+			b.Fatal("degenerate matching result")
+		}
 	}
 }
 

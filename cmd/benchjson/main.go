@@ -23,7 +23,10 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
+	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -40,11 +43,16 @@ type Benchmark struct {
 	// Metrics holds custom units the benchmark reported via b.ReportMetric
 	// (e.g. "announces/sec", "p99-ms"), keyed by unit.
 	Metrics map[string]float64 `json:"metrics,omitempty"`
+	// procs is the GOMAXPROCS the line ran at: its -N name suffix, which go
+	// test omits at 1. It lands in the document context, not per benchmark.
+	procs int
 }
 
 // Document is the emitted JSON shape.
 type Document struct {
-	// Context lines from the benchmark header (goos, goarch, pkg, cpu).
+	// Context lines from the benchmark header (goos, goarch, pkg, cpu),
+	// plus gomaxprocs (the distinct -N suffixes, comma-separated) and
+	// nproc (runtime.NumCPU of the converting process).
 	Context    map[string]string `json:"context"`
 	Benchmarks []Benchmark       `json:"benchmarks"`
 }
@@ -60,26 +68,8 @@ func main() {
 }
 
 func run(comparePath string) error {
-	doc := Document{Context: map[string]string{}, Benchmarks: []Benchmark{}}
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		switch {
-		case strings.HasPrefix(line, "Benchmark"):
-			b, ok := parseBenchLine(line)
-			if ok {
-				doc.Benchmarks = append(doc.Benchmarks, b)
-			}
-		case strings.HasPrefix(line, "goos:"),
-			strings.HasPrefix(line, "goarch:"),
-			strings.HasPrefix(line, "pkg:"),
-			strings.HasPrefix(line, "cpu:"):
-			key, val, _ := strings.Cut(line, ":")
-			doc.Context[key] = strings.TrimSpace(val)
-		}
-	}
-	if err := sc.Err(); err != nil {
+	doc, err := parse(os.Stdin)
+	if err != nil {
 		return err
 	}
 	enc := json.NewEncoder(os.Stdout)
@@ -95,6 +85,44 @@ func run(comparePath string) error {
 		}
 	}
 	return nil
+}
+
+// parse reads `go test -bench` output and builds the document, recording
+// the core count the benchmarks ran on next to the header context.
+func parse(r io.Reader) (Document, error) {
+	doc := Document{Context: map[string]string{}, Benchmarks: []Benchmark{}}
+	procs := map[int]bool{}
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for sc.Scan() {
+		line := strings.TrimSpace(sc.Text())
+		switch {
+		case strings.HasPrefix(line, "Benchmark"):
+			b, ok := parseBenchLine(line)
+			if ok {
+				doc.Benchmarks = append(doc.Benchmarks, b)
+				procs[b.procs] = true
+			}
+		case strings.HasPrefix(line, "goos:"),
+			strings.HasPrefix(line, "goarch:"),
+			strings.HasPrefix(line, "pkg:"),
+			strings.HasPrefix(line, "cpu:"):
+			key, val, _ := strings.Cut(line, ":")
+			doc.Context[key] = strings.TrimSpace(val)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return Document{}, err
+	}
+	if len(procs) > 0 {
+		var strs []string
+		for _, v := range slices.Sorted(maps.Keys(procs)) {
+			strs = append(strs, strconv.Itoa(v))
+		}
+		doc.Context["gomaxprocs"] = strings.Join(strs, ",")
+	}
+	doc.Context["nproc"] = strconv.Itoa(runtime.NumCPU())
+	return doc, nil
 }
 
 // regressionThreshold is the relative growth in ns/op or B/op past which a
@@ -197,11 +225,11 @@ func parseBenchLine(line string) (Benchmark, bool) {
 	if len(fields) < 4 || fields[3] != "ns/op" {
 		return Benchmark{}, false
 	}
-	name := fields[0]
+	name, procs := fields[0], 1
 	// Strip the -GOMAXPROCS suffix so names are stable across runners.
 	if i := strings.LastIndex(name, "-"); i > 0 {
-		if _, err := strconv.Atoi(name[i+1:]); err == nil {
-			name = name[:i]
+		if v, err := strconv.Atoi(name[i+1:]); err == nil {
+			name, procs = name[:i], v
 		}
 	}
 	iters, err1 := strconv.ParseInt(fields[1], 10, 64)
@@ -209,7 +237,7 @@ func parseBenchLine(line string) (Benchmark, bool) {
 	if err1 != nil || err2 != nil {
 		return Benchmark{}, false
 	}
-	b := Benchmark{Name: name, Iterations: iters, NsPerOp: ns}
+	b := Benchmark{Name: name, Iterations: iters, NsPerOp: ns, procs: procs}
 	for i := 4; i+1 < len(fields); i += 2 {
 		switch unit := fields[i+1]; unit {
 		case "B/op":

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -28,6 +30,48 @@ func TestParseBenchLineCustomMetrics(t *testing.T) {
 		if b.Metrics[unit] != v {
 			t.Fatalf("metric %s = %v; want %v", unit, b.Metrics[unit], v)
 		}
+	}
+}
+
+// TestParseRecordsCoreCount pins that the GOMAXPROCS suffix stripped from
+// benchmark names and the machine's core count land in the context. go test
+// omits the suffix at GOMAXPROCS=1, so a bare name counts as 1.
+func TestParseRecordsCoreCount(t *testing.T) {
+	doc, err := parse(strings.NewReader(`goos: linux
+cpu: Test CPU @ 2.10GHz
+BenchmarkA-2   3   100 ns/op
+BenchmarkB/workers=4-2   3   200 ns/op
+PASS
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := doc.Context["gomaxprocs"]; got != "2" {
+		t.Fatalf("gomaxprocs = %q; want \"2\"", got)
+	}
+	if got, want := doc.Context["nproc"], strconv.Itoa(runtime.NumCPU()); got != want {
+		t.Fatalf("nproc = %q; want %q", got, want)
+	}
+	if doc.Context["cpu"] != "Test CPU @ 2.10GHz" || len(doc.Benchmarks) != 2 || doc.Benchmarks[1].Name != "BenchmarkB/workers=4" {
+		t.Fatalf("parsed %+v", doc)
+	}
+
+	// -cpu 1,4 mixes suffixed and bare lines: every distinct value is kept.
+	doc, err = parse(strings.NewReader("BenchmarkA   3   100 ns/op\nBenchmarkA-4   3   60 ns/op\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := doc.Context["gomaxprocs"]; got != "1,4" {
+		t.Fatalf("gomaxprocs = %q; want \"1,4\"", got)
+	}
+
+	// No benchmark lines: no GOMAXPROCS to report.
+	doc, err = parse(strings.NewReader("PASS\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := doc.Context["gomaxprocs"]; ok {
+		t.Fatalf("gomaxprocs recorded without benchmarks: %v", doc.Context)
 	}
 }
 

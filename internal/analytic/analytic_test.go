@@ -249,6 +249,42 @@ func TestBMatchingExpectedValue(t *testing.T) {
 	}
 }
 
+// TestBMatchingTrackedRowsMatchTotals checks the tracked rows against the
+// per-peer totals with non-uniform partner values: each tracked row must sum
+// to the peer's slot probabilities, and weighting it by the partner values
+// must give ExpectedValue[i] = Σ_c Σ_j Dc(i,j)·PartnerValue[j].
+func TestBMatchingTrackedRowsMatchTotals(t *testing.T) {
+	const n, p, b0 = 411, 0.03, 3
+	value := make([]float64, n)
+	for j := range value {
+		value[j] = float64(n - j)
+	}
+	tracked := []int{0, 1, n / 2, n - 1}
+	bm, err := BMatching(BMatchingOptions{N: n, P: p, B0: b0, TrackRows: tracked, PartnerValue: value})
+	if err != nil {
+		t.Fatal(err)
+	}
+	relClose := func(got, want float64) bool {
+		return math.Abs(got-want) <= 1e-12*math.Abs(want)
+	}
+	for _, i := range tracked {
+		var ev float64
+		for c := 0; c < b0; c++ {
+			var mass float64
+			for j, d := range bm.Rows[i][c] {
+				mass += d
+				ev += d * value[j]
+			}
+			if !relClose(mass, bm.SlotMatchProb[c][i]) {
+				t.Errorf("peer %d slot %d: row mass %v, SlotMatchProb %v", i, c+1, mass, bm.SlotMatchProb[c][i])
+			}
+		}
+		if !relClose(ev, bm.ExpectedValue[i]) {
+			t.Errorf("peer %d: row-weighted value %v, ExpectedValue %v", i, ev, bm.ExpectedValue[i])
+		}
+	}
+}
+
 func TestBMatchingErrors(t *testing.T) {
 	if _, err := BMatching(BMatchingOptions{N: 10, P: 0.1, B0: 0}); err == nil {
 		t.Error("b0=0 accepted")

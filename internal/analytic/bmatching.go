@@ -1,12 +1,6 @@
 package analytic
 
-import (
-	"fmt"
-	"sync/atomic"
-
-	"stratmatch/internal/par"
-	"stratmatch/internal/telemetry"
-)
+import "fmt"
 
 // BMatchingResult holds the output of the independent b0-matching recurrence
 // (Algorithm 3). Dc(i, j) denotes the probability that choice number c
@@ -43,11 +37,6 @@ type BMatchingOptions struct {
 	// PartnerValue, when non-nil, must have length N; the result then
 	// contains ExpectedValue[i] = Σ_c Σ_j Dc(i,j)·PartnerValue[j].
 	PartnerValue []float64
-	// Workers bounds the goroutines sharding the O(n²·b0) recurrence
-	// (0 = GOMAXPROCS). The block-wavefront split performs the same
-	// floating-point operations in the same per-cell order as the serial
-	// evaluation, so the result is byte-identical for any worker count.
-	Workers int
 }
 
 // BMatching evaluates Algorithm 3 — the independent b0-matching recurrence.
@@ -66,15 +55,6 @@ type BMatchingOptions struct {
 // Since X_i does not depend on cj, each pair costs O(b0):
 // Dci(i,j) = p·X_i(ci)·ΣX_j and Dcj(j,i) = p·X_j(cj)·ΣX_i.
 // Total cost is O(n²·b0) time and O(n·b0) memory.
-//
-// The pair (i, j) depends only on the pairs (i, j−1) (through row i's
-// cumulative) and (i−1, j) (through column j's cumulative) — a classic
-// wavefront. The recurrence is therefore sharded over Workers goroutines by
-// tiling the upper triangle into row×column blocks and handing each tile to
-// a persistent worker pool as soon as its two predecessor tiles finish (see
-// bmatchingTiled); every memory cell still receives the same additions in
-// the same order, so the parallel evaluation is byte-identical to the
-// serial one.
 func BMatching(opt BMatchingOptions) (*BMatchingResult, error) {
 	n, p, b0 := opt.N, opt.P, opt.B0
 	if n < 0 {
@@ -114,21 +94,14 @@ func BMatching(opt BMatchingOptions) (*BMatchingResult, error) {
 		res.ExpectedValue = make([]float64, n)
 	}
 
-	// The tiled evaluation needs at least two blocks per anti-diagonal to
-	// overlap work; below that (or on one worker) the serial scan is the
-	// same computation without the barrier overhead.
-	if workers := par.Workers(n, opt.Workers); workers > 1 && n >= 2*bmatchingMinBlock {
-		bmatchingTiled(res, opt, workers)
-	} else {
-		bmatchingSerial(res, opt)
-	}
+	bmatchingSerial(res, opt)
 	for i := 0; i < n; i++ {
 		res.MatchProbAny[i] = res.SlotMatchProb[0][i]
 	}
 	return res, nil
 }
 
-// bmatchingSerial is the reference row-major evaluation.
+// bmatchingSerial is the row-major evaluation of the recurrence.
 func bmatchingSerial(res *BMatchingResult, opt BMatchingOptions) {
 	n, p, b0 := opt.N, opt.P, opt.B0
 	// colCum[c][j] = Σ_{k<i} D_{c+1}(j, k) for the current outer row i.
@@ -184,169 +157,4 @@ func bmatchingSerial(res *BMatchingResult, opt BMatchingOptions) {
 			}
 		}
 	}
-}
-
-// bmatchingMinBlock is the smallest tile edge worth a barrier: a tile costs
-// O(block²·b0) floating-point work against one wave synchronization.
-const bmatchingMinBlock = 64
-
-// bmatchingTiled shards the recurrence into block×block tiles of the upper
-// triangle: tile (I, J) — rows of block I against columns of block J —
-// depends only on tiles (I, J−1) and (I−1, J). Unlike the serial scan, row
-// cumulatives persist per row (rowCum[c][i]) because a row's tiles are
-// visited by different workers over time; the diagonal tile seeds them from
-// colCum exactly where the serial scan would.
-//
-// Scheduling is a dependency-counted handoff on a persistent par.Pool
-// rather than per-anti-diagonal barriers: each tile carries the count of
-// its unfinished predecessors, a finished tile decrements its (I, J+1) and
-// (I+1, J) successors, and whichever decrement reaches zero enqueues the
-// successor on the ready channel. A tile therefore starts the moment its
-// own inputs are final instead of waiting for the slowest tile of its
-// anti-diagonal, and the pool goroutines are spawned once per evaluation
-// instead of once per wave.
-//
-// Determinism: two tiles are only ever concurrent when neither reaches the
-// other through the dependency edges. A conflict between tile (I1, J1)'s
-// rows and tile (I2, J2)'s columns needs I1 == J2; but then (I2, J2) chains
-// to (I1, J1) through column J2 down to the diagonal and along row I1
-// ((I2, I1) → … → (I1, I1) → … → (I1, J1)), so they are ordered, and
-// same-row or same-column tiles are chained directly. Each cell of colCum,
-// rowCum, SlotMatchProb and ExpectedValue therefore receives exactly the
-// additions of the serial scan, in the same order, for every worker count
-// and every handoff schedule.
-func bmatchingTiled(res *BMatchingResult, opt BMatchingOptions, workers int) {
-	n, p, b0 := opt.N, opt.P, opt.B0
-	colCum := make([][]float64, b0)
-	rowCum := make([][]float64, b0)
-	for c := 0; c < b0; c++ {
-		colCum[c] = make([]float64, n)
-		rowCum[c] = make([]float64, n)
-	}
-	// ~4 blocks per worker keeps enough tiles in flight to feed the pool
-	// while the tiles stay coarse; the floor bounds the handoff count.
-	block := (n + 4*workers - 1) / (4 * workers)
-	if block < bmatchingMinBlock {
-		block = bmatchingMinBlock
-	}
-	nb := (n + block - 1) / block
-
-	// Per-worker X-factor scratch.
-	xis := make([][]float64, workers)
-	xjs := make([][]float64, workers)
-	for w := 0; w < workers; w++ {
-		xis[w] = make([]float64, b0)
-		xjs[w] = make([]float64, b0)
-	}
-
-	runTile := func(w, I, J int) {
-		r0, r1 := I*block, (I+1)*block
-		if r1 > n {
-			r1 = n
-		}
-		c1 := (J + 1) * block
-		if c1 > n {
-			c1 = n
-		}
-		xi, xj := xis[w], xjs[w]
-		for i := r0; i < r1; i++ {
-			jStart := J * block
-			if I == J {
-				// Row i starts here: seed its cumulative from column
-				// i's state, which is final — every (k, i) pair with
-				// k < i lives in a predecessor tile or earlier in this
-				// tile.
-				for c := 0; c < b0; c++ {
-					rowCum[c][i] = colCum[c][i]
-				}
-				jStart = i + 1
-			}
-			rowOut := res.Rows[i]
-			for j := jStart; j < c1; j++ {
-				var sumXi, sumXj float64
-				for c := 0; c < b0; c++ {
-					prev := 1.0
-					if c > 0 {
-						prev = rowCum[c-1][i]
-					}
-					xi[c] = prev - rowCum[c][i]
-					sumXi += xi[c]
-					prev = 1.0
-					if c > 0 {
-						prev = colCum[c-1][j]
-					}
-					xj[c] = prev - colCum[c][j]
-					sumXj += xj[c]
-				}
-				pairProb := p * sumXi * sumXj
-				for c := 0; c < b0; c++ {
-					dci := p * xi[c] * sumXj
-					dcj := p * xj[c] * sumXi
-					rowCum[c][i] += dci
-					colCum[c][j] += dcj
-					res.SlotMatchProb[c][i] += dci
-					res.SlotMatchProb[c][j] += dcj
-					if rowOut != nil {
-						rowOut[c][j] = dci
-					}
-					if out := res.Rows[j]; out != nil {
-						out[c][i] = dcj
-					}
-				}
-				if res.ExpectedValue != nil {
-					res.ExpectedValue[i] += pairProb * opt.PartnerValue[j]
-					res.ExpectedValue[j] += pairProb * opt.PartnerValue[i]
-				}
-			}
-		}
-	}
-
-	// Tile (I, J) waits for (I, J−1) when the row extends left of it and
-	// for (I−1, J) when a block row sits above; only (0, 0) starts free.
-	total := nb * (nb + 1) / 2
-	deps := make([]atomic.Int32, nb*nb)
-	for I := 0; I < nb; I++ {
-		for J := I; J < nb; J++ {
-			var d int32
-			if J > I {
-				d++
-			}
-			if I > 0 {
-				d++
-			}
-			deps[I*nb+J].Store(d)
-		}
-	}
-	// Buffered for every tile plus one shutdown sentinel per worker, so no
-	// send ever blocks.
-	ready := make(chan int, total+workers)
-	ready <- 0
-	var finished atomic.Int32
-
-	pool := par.NewPool(workers)
-	defer pool.Close()
-	pool.Run(func(w int) {
-		r := par.Telemetry()
-		for idx := range ready {
-			if idx < 0 {
-				return
-			}
-			I, J := idx/nb, idx%nb
-			sp := r.StartPhase(telemetry.PhaseParTask)
-			runTile(w, I, J)
-			r.EndPhase(telemetry.PhaseParTask, sp)
-			r.Inc(telemetry.CtrParTasks)
-			if J+1 < nb && deps[I*nb+J+1].Add(-1) == 0 {
-				ready <- I*nb + J + 1
-			}
-			if I < J && deps[(I+1)*nb+J].Add(-1) == 0 {
-				ready <- (I+1)*nb + J
-			}
-			if int(finished.Add(1)) == total {
-				for k := 0; k < workers; k++ {
-					ready <- -1
-				}
-			}
-		}
-	})
 }

@@ -119,9 +119,7 @@ func Figure9(cfg Config) (*Result, error) {
 	}
 	peer := 3 * n / 5
 	const b0 = 2
-	bm, err := analytic.BMatching(analytic.BMatchingOptions{
-		N: n, P: p, B0: b0, TrackRows: []int{peer}, Workers: cfg.Workers,
-	})
+	bm, err := analytic.BMatching(analytic.BMatchingOptions{N: n, P: p, B0: b0, TrackRows: []int{peer}})
 	if err != nil {
 		return nil, err
 	}

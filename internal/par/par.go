@@ -29,12 +29,6 @@ var tel atomic.Pointer[telemetry.Recorder]
 // running fan-outs.
 func SetTelemetry(r *telemetry.Recorder) { tel.Store(r) }
 
-// Telemetry returns the recorder attached via SetTelemetry (nil when
-// detached, which every Recorder method tolerates). Pool-based callers that
-// schedule their own tasks use it to count and time those tasks as par
-// tasks, keeping the telemetry stream consistent with the ForEach paths.
-func Telemetry() *telemetry.Recorder { return tel.Load() }
-
 // ForEach runs fn(0) .. fn(n-1) across min(workers, n) goroutines and
 // returns when every call has completed. workers <= 0 means GOMAXPROCS.
 // Tasks are handed out in index order.

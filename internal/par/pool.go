@@ -6,13 +6,13 @@ import "sync"
 // between parallel regions instead of being respawned per call. ForEach
 // pays one goroutine spawn per worker per call, which is invisible under
 // experiment fan-outs but shows up when a parallel region runs every
-// simulation round (the sharded swarm stepper) or per wavefront tile
-// (BMatching). A Pool amortises the spawns to construction time; Run is
-// two channel operations and a WaitGroup per region and allocates nothing.
+// simulation round (the sharded swarm stepper). A Pool amortises the
+// spawns to construction time; Run is two channel operations and a
+// WaitGroup per region and allocates nothing.
 //
 // A Pool imposes no work-distribution policy: Run hands every worker the
 // same function and its worker index, and callers slice the work (shard
-// handout counters, tile queues) themselves.
+// handout counters) themselves.
 type Pool struct {
 	workers int
 	fn      func(w int)

@@ -22,7 +22,7 @@ func TestPoolRunEveryWorker(t *testing.T) {
 }
 
 // TestPoolReuse drives many Run regions through one pool — the amortized
-// use the swarm stepper and the BMatching tile handoff depend on — and
+// use the swarm stepper depends on — and
 // checks every region completes fully before the next begins.
 func TestPoolReuse(t *testing.T) {
 	const workers, regions = 4, 200
