@@ -60,7 +60,7 @@ func BMatching(opt BMatchingOptions) (*BMatchingResult, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("analytic: negative population %d", n)
 	}
-	if p < 0 || p > 1 {
+	if !(p >= 0 && p <= 1) {
 		return nil, fmt.Errorf("analytic: probability %v out of [0,1]", p)
 	}
 	if b0 < 1 {
@@ -104,10 +104,14 @@ func BMatching(opt BMatchingOptions) (*BMatchingResult, error) {
 // bmatchingSerial is the row-major evaluation of the recurrence.
 func bmatchingSerial(res *BMatchingResult, opt BMatchingOptions) {
 	n, p, b0 := opt.N, opt.P, opt.B0
-	// colCum[c][j] = Σ_{k<i} D_{c+1}(j, k) for the current outer row i.
-	colCum := make([][]float64, b0)
-	for c := range colCum {
-		colCum[c] = make([]float64, n)
+	// colCum[j*b0+c] = Σ_{k<i} D_{c+1}(j, k) for the current outer row i:
+	// peer-major, so a pair reads and writes one contiguous b0-run.
+	colCum := make([]float64, n*b0)
+	// rows[i] is res.Rows[i] for tracked peers and nil otherwise: a slice
+	// index in the pair loop instead of a map lookup.
+	rows := make([][][]float64, n)
+	for i, r := range res.Rows {
+		rows[i] = r
 	}
 	// Scratch buffers reused across pairs.
 	rowCum := make([]float64, b0) // Σ_{k<j} D_{c+1}(i, k) while scanning row i
@@ -115,11 +119,10 @@ func bmatchingSerial(res *BMatchingResult, opt BMatchingOptions) {
 	xj := make([]float64, b0)
 
 	for i := 0; i < n; i++ {
-		for c := 0; c < b0; c++ {
-			rowCum[c] = colCum[c][i]
-		}
-		rowOut := res.Rows[i]
+		copy(rowCum, colCum[i*b0:(i+1)*b0])
+		rowOut := rows[i]
 		for j := i + 1; j < n; j++ {
+			cj := colCum[j*b0 : (j+1)*b0]
 			// X factors before any update for this pair.
 			var sumXi, sumXj float64
 			for c := 0; c < b0; c++ {
@@ -131,30 +134,35 @@ func bmatchingSerial(res *BMatchingResult, opt BMatchingOptions) {
 				sumXi += xi[c]
 				prev = 1.0
 				if c > 0 {
-					prev = colCum[c-1][j]
+					prev = cj[c-1]
 				}
-				xj[c] = prev - colCum[c][j]
+				xj[c] = prev - cj[c]
 				sumXj += xj[c]
 			}
-			pairProb := p * sumXi * sumXj // P(i and j matched at all)
+			colOut := rows[j]
 			for c := 0; c < b0; c++ {
 				dci := p * xi[c] * sumXj // Dc(i, j)
 				dcj := p * xj[c] * sumXi // Dc(j, i)
 				rowCum[c] += dci
-				colCum[c][j] += dcj
-				res.SlotMatchProb[c][i] += dci
-				res.SlotMatchProb[c][j] += dcj
+				cj[c] += dcj
 				if rowOut != nil {
 					rowOut[c][j] = dci
 				}
-				if out := res.Rows[j]; out != nil {
-					out[c][i] = dcj
+				if colOut != nil {
+					colOut[c][i] = dcj
 				}
 			}
 			if res.ExpectedValue != nil {
+				pairProb := p * sumXi * sumXj // P(i and j matched at all)
 				res.ExpectedValue[i] += pairProb * opt.PartnerValue[j]
 				res.ExpectedValue[j] += pairProb * opt.PartnerValue[i]
 			}
+		}
+		// Row i is complete: rowCum[c] is Σ_j D_{c+1}(i, j), summed over
+		// the earlier rows' column terms and then this row's terms, in pair
+		// order — the slot's fill probability.
+		for c := 0; c < b0; c++ {
+			res.SlotMatchProb[c][i] = rowCum[c]
 		}
 	}
 }

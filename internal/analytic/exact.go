@@ -18,7 +18,7 @@ func Exact(n int, p float64, b0 int) ([][][]float64, error) {
 	if n < 0 || n > 6 {
 		return nil, fmt.Errorf("analytic: Exact supports 0 <= n <= 6, got %d", n)
 	}
-	if p < 0 || p > 1 {
+	if !(p >= 0 && p <= 1) {
 		return nil, fmt.Errorf("analytic: probability %v out of [0,1]", p)
 	}
 	if b0 < 1 {

@@ -3,7 +3,6 @@ package analytic
 import (
 	"fmt"
 
-	"stratmatch/internal/core"
 	"stratmatch/internal/graph"
 	"stratmatch/internal/par"
 	"stratmatch/internal/rng"
@@ -33,15 +32,17 @@ func MonteCarloChoices(n int, p float64, b0, peer, samples int, seed uint64) (*M
 	return MonteCarloChoicesWorkers(n, p, b0, peer, samples, seed, 0)
 }
 
-// MonteCarloChoicesWorkers samples `samples` G(n, p) graphs, solves the
-// stable b0-matching exactly on each (Algorithm 1), and histograms the ranks
-// of the target peer's 1st..b0-th choices. Sampling fans out over `workers`
-// goroutines (0 = GOMAXPROCS).
+// MonteCarloChoicesWorkers samples `samples` G(n, p) graphs, computes the
+// target peer's mates in the stable b0-matching of each (Algorithm 1), and
+// histograms the ranks of its 1st..b0-th choices. Sampling fans out over
+// `workers` goroutines (0 = GOMAXPROCS).
 //
-// Every sample draws from its own sub-stream derived from (seed, sample
-// index), and the merged histograms are integer counts, so the result is
-// identical for any worker count and any scheduling — one seed, one answer,
-// on a laptop or a 128-core runner.
+// No graph is built: each sample runs Algorithm 1 on the G(n, p) edge
+// stream and stops once the tracked peer is full (see stableMates). Every
+// sample draws from its own sub-stream derived from (seed, sample index), so
+// stopping one early changes no other, and the merged histograms are integer
+// counts: the result is identical for any worker count and any scheduling —
+// one seed, one answer, on a laptop or a 128-core runner.
 func MonteCarloChoicesWorkers(n int, p float64, b0, peer, samples int, seed uint64, workers int) (*MonteCarloResult, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("analytic: population %d", n)
@@ -55,22 +56,16 @@ func MonteCarloChoicesWorkers(n int, p float64, b0, peer, samples int, seed uint
 	if samples < 1 {
 		return nil, fmt.Errorf("analytic: samples = %d", samples)
 	}
-	if p < 0 || p > 1 {
+	if !(p >= 0 && p <= 1) {
 		return nil, fmt.Errorf("analytic: probability %v out of [0,1]", p)
 	}
 
 	workers = par.Workers(samples, workers)
-	// Each worker owns a graph arena and a matching arena: across its share
-	// of the samples the G(n, p) edge buffers and the Config slab are
-	// recycled, so a draw costs zero steady-state allocations. The sampled
-	// values are untouched — every sample still derives from its own
-	// sub-stream — so the counts are byte-identical to fresh-allocation
-	// sampling at any worker count.
 	type partial struct {
 		counts  [][]int
 		matched []int
-		garena  graph.Arena
-		carena  core.Arena
+		avail   []int // free slots per peer in the current sample
+		mates   []int // the tracked peer's mates, best first
 	}
 	partials := make([]partial, workers)
 	for w := range partials {
@@ -80,13 +75,14 @@ func MonteCarloChoicesWorkers(n int, p float64, b0, peer, samples int, seed uint
 			pt.counts[c] = make([]int, n)
 		}
 		pt.matched = make([]int, b0)
+		pt.avail = make([]int, n)
+		pt.mates = make([]int, 0, b0)
 	}
 	par.ForEachWorker(samples, workers, func(w, s int) {
 		pt := &partials[w]
 		r := rng.New(seed + uint64(s)*0x9e3779b97f4a7c15)
-		g := pt.garena.ErdosRenyi(n, p, r)
-		cfg := pt.carena.StableUniform(g, b0)
-		for c, mate := range cfg.Mates(peer) {
+		pt.mates = stableMates(n, p, b0, peer, r, pt.avail, pt.mates[:0])
+		for c, mate := range pt.mates {
 			pt.counts[c][mate]++
 			pt.matched[c]++
 		}
@@ -114,4 +110,42 @@ func MonteCarloChoicesWorkers(n int, p float64, b0, peer, samples int, seed uint
 		}
 	}
 	return res, nil
+}
+
+// stableMates appends to mates the tracked peer's mates, best first, in the
+// stable b0-matching of one G(n, p) draw from r — what
+// core.StableUniform(graph.ErdosRenyi(n, p, r), b0).Mates(peer) returns —
+// without building the graph. avail is scratch of length n.
+//
+// It runs Algorithm 1 greedily on the graph.ErdosRenyiEdges stream: match
+// {v, w} when both still have a free slot. Algorithm 1 takes edges
+// best-endpoint-major; the walk yields them worst-endpoint-major. Both
+// orders list every peer's edges in that peer's own preference order, and a
+// greedy decision depends only on the decisions made earlier at its two
+// endpoints, so by induction over that order every edge gets the same
+// decision and the matched set is identical. Edges after the tracked peer
+// fills cannot change its mates, so the walk stops there.
+func stableMates(n int, p float64, b0, peer int, r *rng.RNG, avail, mates []int) []int {
+	for i := range avail {
+		avail[i] = b0
+	}
+	for v, w := range graph.ErdosRenyiEdges(n, p, r) {
+		if avail[v] == 0 || avail[w] == 0 {
+			continue
+		}
+		avail[v]--
+		avail[w]--
+		switch peer {
+		case v:
+			mates = append(mates, w)
+		case w:
+			mates = append(mates, v)
+		default:
+			continue
+		}
+		if avail[peer] == 0 {
+			break
+		}
+	}
+	return mates
 }

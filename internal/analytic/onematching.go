@@ -48,7 +48,7 @@ func OneMatching(n int, p float64, trackRows ...int) (*OneMatchingResult, error)
 	if n < 0 {
 		return nil, fmt.Errorf("analytic: negative population %d", n)
 	}
-	if p < 0 || p > 1 {
+	if !(p >= 0 && p <= 1) {
 		return nil, fmt.Errorf("analytic: probability %v out of [0,1]", p)
 	}
 	res := &OneMatchingResult{

@@ -6,7 +6,9 @@ import "stratmatch/internal/rng"
 // two-pass Erdős–Rényi sampler's edge list, degree counts and adjacency
 // slab, plus the Adjacency headers themselves. Monte-Carlo loops that draw
 // thousands of G(n, p) graphs hold one Arena per worker so a draw costs zero
-// steady-state allocations while producing byte-identical graphs.
+// steady-state allocations while producing byte-identical graphs. (A loop
+// that needs only one pass over the edges should range over ErdosRenyiEdges
+// instead and build no graph.)
 //
 // The *Adjacency returned by an Arena method is owned by the arena: it is
 // valid until the arena's next call, which overwrites it in place (Clone a
@@ -42,29 +44,17 @@ func (a *Arena) intSlab(n int) []int {
 	return a.slab
 }
 
-// ErdosRenyi is graph.ErdosRenyi sampling into the arena: same geometric
-// edge-skipping walk, same stream consumption from r, identical output — but
-// the edge buffer, degree counts, adjacency slab and headers are recycled
-// across draws.
+// ErdosRenyi is graph.ErdosRenyi sampling into the arena: the same
+// ErdosRenyiEdges walk, same stream consumption from r, identical output —
+// but the edge buffer, degree counts, adjacency slab and headers are
+// recycled across draws.
 func (a *Arena) ErdosRenyi(n int, p float64, r *rng.RNG) *Adjacency {
 	g := a.reset(n)
-	switch {
-	case p <= 0 || n < 2:
-		return g
-	case p >= 1:
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				g.AddEdge(i, j)
-			}
-		}
+	if !(p > 0) || n < 2 {
 		return g
 	}
-	// Walk the strictly-lower-triangular adjacency matrix row by row,
-	// skipping ahead by geometrically distributed gaps (see the package
-	// function for the sampling notes).
-	gs := geoSkipFor(p)
 	if a.edges == nil {
-		a.edges = make([]uint64, 0, int(p*float64(n)*float64(n-1)/2)+16)
+		a.edges = make([]uint64, 0, int(min(p, 1)*float64(n)*float64(n-1)/2)+16)
 	}
 	edges := a.edges[:0]
 	if cap(a.deg) < n {
@@ -74,18 +64,10 @@ func (a *Arena) ErdosRenyi(n int, p float64, r *rng.RNG) *Adjacency {
 	for i := range deg {
 		deg[i] = 0
 	}
-	v, w := 1, -1
-	for v < n {
-		w += 1 + gs.next(r)
-		for w >= v && v < n {
-			w -= v
-			v++
-		}
-		if v < n {
-			edges = append(edges, uint64(v)<<32|uint64(w))
-			deg[v]++
-			deg[w]++
-		}
+	for v, w := range ErdosRenyiEdges(n, p, r) {
+		edges = append(edges, uint64(v)<<32|uint64(w))
+		deg[v]++
+		deg[w]++
 	}
 	a.edges = edges
 	// Carve per-peer lists out of the recycled slab with 25%+2 headroom per
@@ -104,8 +86,7 @@ func (a *Arena) ErdosRenyi(n int, p float64, r *rng.RNG) *Adjacency {
 		g.adj[i] = slab[off : off : off+d+d/4+2]
 		off += d + d/4 + 2
 	}
-	// Lexicographic edge order keeps plain tail appends sorted (see
-	// graph.ErdosRenyi).
+	// The walk's lexicographic edge order keeps plain tail appends sorted.
 	for _, e := range edges {
 		v, w := int(e>>32), int(e&0xffffffff)
 		g.adj[v] = append(g.adj[v], w)

@@ -1,23 +1,63 @@
 package graph
 
 import (
+	"iter"
+
 	"stratmatch/internal/rng"
 )
 
-// ErdosRenyi samples a loopless symmetric G(n, p) graph: every unordered
-// pair {i, j} is an edge independently with probability p. The result is a
-// mutable Adjacency so churn experiments can detach and re-attach peers.
+// ErdosRenyiEdges yields the edges of one G(n, p) draw: every unordered pair
+// is an edge independently with probability p. Edges come as (v, w) with
+// w < v, in lexicographic order — v ascending, and w ascending within a v —
+// so each peer's edges arrive in its own preference order (best partner
+// first).
 //
-// For sparse graphs (p well below 1) the sampler uses geometric edge
-// skipping (Batagelj–Brandes), which runs in O(n + m) instead of O(n²);
-// the geometric gaps come from a guide-table inversion sampler (see
-// geoSkip) instead of the textbook log formula, removing the per-edge
-// math.Log1p call that used to dominate Monte-Carlo profiles. Sampling is
-// two-pass: edges are drawn into a flat buffer first, then the exact-size
-// adjacency lists are carved out of one backing slab and tail-filled in
-// sorted order — Monte-Carlo loops that draw thousands of graphs spend
-// their time in the sampler, and incremental sorted inserts with slice
-// regrowth used to dominate that cost.
+// For p < 1 this is the Batagelj–Brandes walk over the strictly-lower-
+// triangular adjacency matrix, skipping ahead by Geometric(p) gaps in
+// O(n + m) instead of O(n²). The gaps come from a guide-table inversion
+// sampler (see geoSkip) instead of the textbook log formula. p ≥ 1 yields
+// every pair and draws nothing from r; p ≤ 0 (or NaN) and n < 2 yield
+// nothing.
+func ErdosRenyiEdges(n int, p float64, r *rng.RNG) iter.Seq2[int, int] {
+	return func(yield func(v, w int) bool) {
+		switch {
+		case !(p > 0) || n < 2:
+			return
+		case p >= 1:
+			for v := 1; v < n; v++ {
+				for w := 0; w < v; w++ {
+					if !yield(v, w) {
+						return
+					}
+				}
+			}
+			return
+		}
+		gs := geoSkipFor(p)
+		v, w := 1, -1
+		for {
+			w += 1 + gs.next(r)
+			for w >= v {
+				w -= v
+				if v++; v >= n {
+					return
+				}
+			}
+			if !yield(v, w) {
+				return
+			}
+		}
+	}
+}
+
+// ErdosRenyi samples a loopless symmetric G(n, p) graph from the
+// ErdosRenyiEdges walk. The result is a mutable Adjacency so churn
+// experiments can detach and re-attach peers.
+//
+// Sampling is two-pass: edges are drawn into a flat buffer first, then the
+// exact-size adjacency lists are carved out of one backing slab and
+// tail-filled in sorted order — incremental sorted inserts with slice
+// regrowth used to dominate repeated-draw profiles.
 // Loops that draw many graphs should hold a graph.Arena and call its
 // ErdosRenyi method instead: same sampler, zero steady-state allocations.
 func ErdosRenyi(n int, p float64, r *rng.RNG) *Adjacency {

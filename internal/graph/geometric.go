@@ -8,14 +8,15 @@ import (
 )
 
 // geoSkip samples Geometric(p) gap lengths — P(G = k) = p·(1−p)^k for
-// k ≥ 0 — for the Batagelj–Brandes edge-skipping sampler. The classic
-// formulation ⌊log(1−u)/log(1−p)⌋ costs a logarithm per edge, which
-// profiles as ~28% of the Monte-Carlo experiments; this sampler replaces it
-// with Chen–Asau guide-table inversion: one uniform, one table lookup, and
-// on average about one comparison. The table covers all but a ~e⁻⁸ sliver
-// of the mass; draws landing in the tail recurse through the memoryless
-// property with the exact log formula, so the sampled distribution is
-// Geometric(p) exactly — not an approximation.
+// k ≥ 0 — for the Batagelj–Brandes edge-skipping walk (ErdosRenyiEdges).
+// The classic formulation ⌊log(1−u)/log(1−p)⌋ costs a logarithm per edge;
+// this sampler replaces it with Chen–Asau guide-table inversion: one
+// uniform, one table lookup, and on average about one comparison. The gap
+// draw is still the bulk of a G(n, p) walk (about 70% of Figure 9's
+// streamed Monte-Carlo). The table covers all but a ~e⁻⁸ sliver of the
+// mass; draws landing in the tail recurse through the memoryless property
+// with the exact log formula, so the sampled distribution is Geometric(p)
+// exactly — not an approximation.
 type geoSkip struct {
 	cdf   []float64 // cdf[k] = P(G ≤ k) = 1 − (1−p)^(k+1)
 	guide []int32   // guide[j] = min{k : cdf[k] ≥ j/m}
@@ -26,9 +27,9 @@ type geoSkip struct {
 
 // geoCache holds the most recently built table. A geoSkip is immutable
 // after construction, so sharing one across goroutines is safe; Monte-
-// Carlo sweeps draw thousands of graphs at a single p, and this one-entry
-// cache makes the table a one-time cost instead of a per-graph one
-// (concurrent sweeps at different p stay correct, merely rebuilding).
+// Carlo sweeps walk thousands of G(n, p) draws at a single p, and this
+// one-entry cache makes the table a one-time cost instead of a per-draw
+// one (concurrent sweeps at different p stay correct, merely rebuilding).
 var geoCache atomic.Pointer[geoSkip]
 
 // geoSkipFor returns a table for p, reusing the cached one when it

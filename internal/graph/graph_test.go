@@ -157,6 +157,46 @@ func TestErdosRenyiEdgeCases(t *testing.T) {
 	}
 }
 
+// TestErdosRenyiEdgesStream pins the edge iterator's contract: pairs
+// (v, w) with w < v in strictly increasing (v, w) order, exactly the edges
+// of the graph ErdosRenyi builds from the same stream, nothing for
+// p ≤ 0, NaN or n < 2, and an early break honoured.
+func TestErdosRenyiEdgesStream(t *testing.T) {
+	for _, p := range []float64{0.05, 0.5, 1} {
+		g := ErdosRenyi(120, p, rng.New(5))
+		m, pv, pw := 0, 0, -1
+		for v, w := range ErdosRenyiEdges(120, p, rng.New(5)) {
+			if w < 0 || w >= v || v >= 120 || v < pv || (v == pv && w <= pw) {
+				t.Fatalf("p=%v: edge (%d, %d) after (%d, %d)", p, v, w, pv, pw)
+			}
+			if !g.Acceptable(v, w) {
+				t.Fatalf("p=%v: streamed edge (%d, %d) not in the built graph", p, v, w)
+			}
+			m, pv, pw = m+1, v, w
+		}
+		if m != g.EdgeCount() {
+			t.Fatalf("p=%v: streamed %d edges, graph has %d", p, m, g.EdgeCount())
+		}
+	}
+	for _, tc := range []struct {
+		n int
+		p float64
+	}{{50, 0}, {50, -1}, {50, math.NaN()}, {1, 0.5}, {0, 1}} {
+		for v, w := range ErdosRenyiEdges(tc.n, tc.p, rng.New(1)) {
+			t.Fatalf("n=%d p=%v yielded edge (%d, %d)", tc.n, tc.p, v, w)
+		}
+	}
+	seen := 0
+	for range ErdosRenyiEdges(200, 0.2, rng.New(2)) {
+		if seen++; seen == 3 {
+			break
+		}
+	}
+	if seen != 3 {
+		t.Fatalf("early break: saw %d edges, want 3", seen)
+	}
+}
+
 func TestErdosRenyiEdgeProbability(t *testing.T) {
 	// Count how often a fixed pair is connected over many samples.
 	const p, samples = 0.3, 2000

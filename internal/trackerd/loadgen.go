@@ -127,6 +127,14 @@ func (lg LoadGen) Run(ctx context.Context) (Report, error) {
 		go func() {
 			defer wg.Done()
 			local := make([]time.Duration, 0, 1024)
+			// Merge on every exit path: a Duration-bounded run ends with
+			// workers returning from a pacing wait or a cancelled request,
+			// and their completed samples still count.
+			defer func() {
+				mu.Lock()
+				latencies = append(latencies, local...)
+				mu.Unlock()
+			}()
 			for {
 				i := int(seq.Add(1)) - 1
 				if lg.Total > 0 && i >= lg.Total {
@@ -170,9 +178,6 @@ func (lg LoadGen) Run(ctx context.Context) (Report, error) {
 				}
 				local = append(local, time.Since(t0))
 			}
-			mu.Lock()
-			latencies = append(latencies, local...)
-			mu.Unlock()
 		}()
 	}
 	wg.Wait()

@@ -389,3 +389,35 @@ func TestLoadGen(t *testing.T) {
 		t.Fatalf("report text: %q", rep.String())
 	}
 }
+
+// TestLoadGenPacedDurationKeepsSamples pins that a paced, Duration-bounded
+// replay reports the announces it completed: such a run ends with workers
+// leaving from a pacing wait or a cancelled request, and those exits must
+// still merge their latency samples.
+func TestLoadGenPacedDurationKeepsSamples(t *testing.T) {
+	_, ts := newTestServer(t, Config{Seed: 9, Telemetry: telemetry.New()})
+	lg := LoadGen{
+		BaseURL:     ts.URL,
+		Swarm:       "lg",
+		Peers:       20,
+		Concurrency: 2,
+		Rate:        200,
+		Duration:    300 * time.Millisecond,
+	}
+	rep, err := lg.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Announces == 0 {
+		t.Fatalf("paced duration-bounded run reported no announces: %+v", rep)
+	}
+	if limit := int(lg.Rate*rep.Elapsed.Seconds()) + lg.Concurrency + 1; rep.Announces > limit {
+		t.Fatalf("announces %d exceed the offered load %d: %+v", rep.Announces, limit, rep)
+	}
+	if rep.PerSec <= 0 || rep.Max <= 0 {
+		t.Fatalf("throughput or latency not measured: %+v", rep)
+	}
+	if rep.P50 > rep.P90 || rep.P90 > rep.P99 || rep.P99 > rep.Max {
+		t.Fatalf("quantiles out of order: %+v", rep)
+	}
+}
