@@ -61,6 +61,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"syscall"
+	"time"
 
 	"stratmatch/internal/bandwidth"
 	"stratmatch/internal/btsim"
@@ -303,6 +304,7 @@ func run(args []string) error {
 		return fmt.Errorf("-replicas %d", *replicas)
 	}
 
+	start := time.Now()
 	// The ranked capacity vector is replica-independent; only the id↔rank
 	// permutation differs per replica.
 	var ranked []float64
@@ -366,7 +368,7 @@ func run(args []string) error {
 			return err
 		}
 		report(m)
-		reportTelemetry(tel)
+		reportTelemetry(tel, start)
 		return nil
 	}
 
@@ -403,22 +405,27 @@ func run(args []string) error {
 	}
 	fmt.Println("\n--- replica 0 ---")
 	report(metrics[0])
-	reportTelemetry(tel)
+	reportTelemetry(tel, start)
 	return nil
 }
 
 // reportTelemetry prints a closing telemetry summary to stderr — stderr so
-// the structured stdout output (report tables, jsonl) stays clean.
-func reportTelemetry(tel *telemetry.Recorder) {
+// the structured stdout output (report tables, jsonl) stays clean. start is
+// when the run began; the summary measures its wall clock from there.
+func reportTelemetry(tel *telemetry.Recorder, start time.Time) {
 	if tel == nil {
 		return
 	}
-	writeTelemetryText(os.Stderr, tel.Snapshot())
+	writeTelemetryText(os.Stderr, tel.Snapshot(), time.Since(start))
 }
 
-// writeTelemetryText renders a snapshot as an indented text block.
-func writeTelemetryText(w io.Writer, snap telemetry.Snapshot) {
+// writeTelemetryText renders a snapshot as an indented text block, opening
+// with the run's wall-clock total and giving each phase's share of it.
+// Shares are not additive: nested phases (per-shard, par_task) overlap
+// their parents, and parallel replicas overlap each other.
+func writeTelemetryText(w io.Writer, snap telemetry.Snapshot, wall time.Duration) {
 	fmt.Fprintln(w, "telemetry:")
+	fmt.Fprintf(w, "  %-32s %.3f ms\n", "wall_clock", float64(wall)/1e6)
 	for _, c := range snap.Counters {
 		fmt.Fprintf(w, "  %-32s %d\n", c.Name, c.Value)
 	}
@@ -427,8 +434,9 @@ func writeTelemetryText(w io.Writer, snap telemetry.Snapshot) {
 	}
 	for _, p := range snap.Phases {
 		mean := float64(p.SumNs) / float64(p.Count) / 1e6
-		fmt.Fprintf(w, "  phase %-26s %d calls, %.3f ms total, %.4f ms mean\n",
-			p.Name, p.Count, float64(p.SumNs)/1e6, mean)
+		share := 100 * float64(p.SumNs) / float64(max(wall, 1))
+		fmt.Fprintf(w, "  phase %-26s %d calls, %.3f ms total, %.4f ms mean, %.1f%% of wall\n",
+			p.Name, p.Count, float64(p.SumNs)/1e6, mean, share)
 	}
 }
 
@@ -487,6 +495,7 @@ type ckptConfig struct {
 // checkpoint, and exits cleanly (status 0) — kill -9 loses at most the
 // rounds since the last periodic checkpoint.
 func runSpec(spec btsim.ScenarioSpec, sampleEvery, stepWorkers int, ck ckptConfig, emitMode string, verbose bool, tel *telemetry.Recorder) error {
+	start := time.Now()
 	if sampleEvery > 0 {
 		spec.SampleEvery = sampleEvery
 	}
@@ -546,7 +555,7 @@ func runSpec(spec btsim.ScenarioSpec, sampleEvery, stepWorkers int, ck ckptConfi
 	if err != nil {
 		return finish(err)
 	}
-	defer reportTelemetry(tel)
+	defer reportTelemetry(tel, start)
 	fmt.Printf("scenario:                %s (seed %d)\n", res.Name, spec.Swarm.Seed)
 	fmt.Printf("peers ever joined:       %d\n", res.TotalJoined)
 	fmt.Printf("peers departed:          %d\n", res.TotalDeparted)

@@ -65,12 +65,19 @@ func TestRunScenarios(t *testing.T) {
 // what it printed.
 func captureStdout(t *testing.T, f func() error) string {
 	t.Helper()
-	old := os.Stdout
+	return capture(t, &os.Stdout, f)
+}
+
+// capture runs f with *file (os.Stdout or os.Stderr) redirected into a
+// pipe and returns what f wrote to it.
+func capture(t *testing.T, file **os.File, f func() error) string {
+	t.Helper()
+	old := *file
 	r, w, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
 	}
-	os.Stdout = w
+	*file = w
 	done := make(chan string)
 	go func() {
 		var sb strings.Builder
@@ -86,7 +93,7 @@ func captureStdout(t *testing.T, f func() error) string {
 	}()
 	ferr := f()
 	w.Close()
-	os.Stdout = old
+	*file = old
 	out := <-done
 	if ferr != nil {
 		t.Fatal(ferr)

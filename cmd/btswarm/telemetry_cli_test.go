@@ -160,3 +160,38 @@ func TestTraceFileWritten(t *testing.T) {
 		t.Fatal("trace file is empty")
 	}
 }
+
+// TestTelemetrySummaryWallClock: a text run's stderr telemetry summary
+// opens with the run's wall-clock total and gives every phase its share of
+// it, so time no phase covers is visible without a profiler.
+func TestTelemetrySummaryWallClock(t *testing.T) {
+	var stderr string
+	_ = captureStdout(t, func() error {
+		stderr = capture(t, &os.Stderr, func() error {
+			return run([]string{"-scenario", "poisson", "-scenario-scale", "0.15", "-seed", "4", "-telemetry"})
+		})
+		return nil
+	})
+	var wall float64
+	phases := 0
+	for _, line := range strings.Split(stderr, "\n") {
+		f := strings.Fields(line)
+		switch {
+		case len(f) == 3 && f[0] == "wall_clock" && f[2] == "ms":
+			if _, err := fmt.Sscan(f[1], &wall); err != nil {
+				t.Fatalf("wall_clock line %q: %v", line, err)
+			}
+		case len(f) > 0 && f[0] == "phase":
+			phases++
+			if !strings.HasSuffix(line, "% of wall") {
+				t.Fatalf("phase line lacks its share of the wall clock: %q", line)
+			}
+		}
+	}
+	if wall <= 0 {
+		t.Fatalf("summary has no positive wall_clock line:\n%s", stderr)
+	}
+	if phases == 0 {
+		t.Fatalf("summary has no phase lines:\n%s", stderr)
+	}
+}

@@ -608,6 +608,7 @@ func decodeSwarm(r *checkpoint.Reader, faultsOn bool) (*Swarm, error) {
 		}
 		s.trk.pos[id] = int32(i)
 	}
+	s.rebuildFull()
 
 	if faultsOn {
 		if err := decodeFaults(r, s, npeers); err != nil {

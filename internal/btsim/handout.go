@@ -3,19 +3,25 @@ package btsim
 import "stratmatch/internal/rng"
 
 // HandoutState is the tracker-side view the neighbor handout policy samples
-// from: a dense present-set supporting uniform indexing, plus the degree,
-// reachability and wiring operations on peer ids. Swarm implements it over
-// its CSR slot arrays (see swarmHandout); the service registry in
-// internal/trackerd implements it over per-swarm adjacency lists. Both feed
-// the same HandoutPolicy, so a served announce draws the exact RNG sequence
-// an in-sim announce would.
+// from: a dense present-set supporting uniform indexing and a saturation
+// test by index, plus the degree, reachability and wiring operations on
+// peer ids. Swarm implements it over its CSR slot arrays and saturation
+// bitmap (see swarmHandout); the service registry in internal/trackerd
+// implements it over per-swarm adjacency lists. Both feed the same
+// HandoutPolicy, so a served announce draws the exact RNG sequence an
+// in-sim announce would.
 type HandoutState interface {
 	// PresentCount is the number of currently registered peers.
 	PresentCount() int
 	// PresentAt returns the id at index i of the present set (any fixed
 	// order; the policy samples indices uniformly).
 	PresentAt(i int) int32
-	// DegreeOf returns a present peer's current connection count.
+	// FullAt reports whether the peer at index i of the present set is at
+	// the policy's MaxNeighbors degree cap. The policy tests it before
+	// PresentAt, so a saturated draw costs only this check.
+	FullAt(i int) bool
+	// DegreeOf returns a present peer's current connection count (the
+	// policy asks it once per handout, for the announcer).
 	DegreeOf(id int32) int
 	// SameSide reports whether the tracker may introduce a to b (false
 	// only while a network partition separates them).
@@ -45,44 +51,55 @@ type HandoutPolicy struct {
 // Handout hands peer id uniformly random present peers until it holds
 // NeighborCount connections, skipping the announcer itself, unreachable
 // (partitioned-off) peers, existing neighbors and peers at the degree cap.
-// The attempt budget bounds rejection sampling in saturated swarms; the
-// number of connections added is returned.
-func (hp HandoutPolicy) Handout(st HandoutState, r *rng.RNG, id int32) int {
+// The attempt budget bounds rejection sampling in saturated swarms. It
+// returns the number of connections added and the number of index draws
+// made.
+//
+// Every rejection is a side-effect-free skip, so the order of the tests
+// does not change which draws are accepted; the cheapest one, FullAt, goes
+// first because most draws in a crowded swarm hit a saturated peer.
+func (hp HandoutPolicy) Handout(st HandoutState, r *rng.RNG, id int32) (added, draws int) {
+	n := st.PresentCount()
 	deg := st.DegreeOf(id)
 	need := hp.NeighborCount - deg
 	// Every neighbor is present, so the announcer can add at most the
 	// present peers it is not yet connected to — without this cap a peer
 	// in a drained swarm would burn its whole attempt budget every
 	// re-announce chasing an unreachable target.
-	if achievable := st.PresentCount() - 1 - deg; need > achievable {
+	if achievable := n - 1 - deg; need > achievable {
 		need = achievable
 	}
 	if need <= 0 {
-		return 0
+		return 0, 0
 	}
-	added := 0
 	// Rejection sampling with a bounded attempt budget: when most of the
 	// swarm is already saturated the announcer settles for fewer neighbors
-	// and retries at its next re-announce instead of spinning.
+	// and retries at its next re-announce instead of spinning. Only Connect
+	// changes the announcer's degree, so it is deg+added throughout.
 	for attempts := 16*need + 16; need > 0 && attempts > 0; attempts-- {
-		if st.DegreeOf(id) >= hp.MaxNeighbors {
+		if deg+added >= hp.MaxNeighbors {
 			break
 		}
-		cand := st.PresentAt(r.Intn(st.PresentCount()))
+		i := r.Intn(n)
+		draws++
+		if st.FullAt(i) {
+			continue
+		}
+		cand := st.PresentAt(i)
 		if cand == id {
 			continue
 		}
 		if !st.SameSide(id, cand) {
 			continue // the tracker cannot reach across an active partition
 		}
-		if st.DegreeOf(cand) >= hp.MaxNeighbors || st.Connected(id, cand) {
+		if st.Connected(id, cand) {
 			continue
 		}
 		st.Connect(id, cand)
 		added++
 		need--
 	}
-	return added
+	return added, draws
 }
 
 // swarmHandout adapts a Swarm to HandoutState. It is a type alias-style
@@ -92,6 +109,7 @@ type swarmHandout Swarm
 
 func (h *swarmHandout) PresentCount() int     { return len(h.trk.present) }
 func (h *swarmHandout) PresentAt(i int) int32 { return h.trk.present[i] }
+func (h *swarmHandout) FullAt(i int) bool     { return bmGet(h.trk.full, i) }
 func (h *swarmHandout) DegreeOf(id int32) int { return int(h.deg[h.peers[id].slot]) }
 
 func (h *swarmHandout) SameSide(a, b int32) bool {

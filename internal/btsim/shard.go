@@ -133,6 +133,14 @@ func bmGet(bm []uint64, i int) bool { return bm[i>>6]&(1<<uint(i&63)) != 0 }
 func bmSet(bm []uint64, i int)      { bm[i>>6] |= 1 << uint(i&63) }
 func bmClear(bm []uint64, i int)    { bm[i>>6] &^= 1 << uint(i&63) }
 
+func bmPut(bm []uint64, i int, v bool) {
+	if v {
+		bmSet(bm, i)
+	} else {
+		bmClear(bm, i)
+	}
+}
+
 // numShards returns the shard count for the current slot capacity.
 func (s *Swarm) numShards() int {
 	return (s.slotCap + s.sh.slotsPerShard - 1) / s.sh.slotsPerShard

@@ -331,15 +331,34 @@ func TestEventDrivenSkipsHappen(t *testing.T) {
 // byte-identically under 1 worker and under 4, matching the serial golden
 // run's tail. Checkpoints carry per-shard RNG positions and dirty-set
 // state, never the worker count.
+//
+// The flashcrowd1m case resumes at round 30, inside its arrival burst
+// (rounds 5-54), when most peers sit at the degree cap: the tracker's
+// saturation bitmap is not in the checkpoint, and the one LoadCheckpoint
+// rebuilds from deg must steer the handout exactly as the live one did.
 func TestCheckpointResumeAcrossWorkerCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("checkpoint matrix")
 	}
-	for _, name := range []string{"poisson", "crashcrowd"} {
+	for _, name := range []string{"poisson", "crashcrowd", "flashcrowd1m"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			sc := ckptScenario(t, name, 21)
+			var sc Scenario
+			var mid int
+			if name == "flashcrowd1m" {
+				sp, err := NamedSpec(name, 21, 0.002)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if sc, err = sp.Compile(); err != nil {
+					t.Fatal(err)
+				}
+				mid = 30
+			} else {
+				sc = ckptScenario(t, name, 21)
+				mid = sc.Rounds / 2
+			}
 			golden, err := sc.Run()
 			if err != nil {
 				t.Fatal(err)
@@ -347,7 +366,6 @@ func TestCheckpointResumeAcrossWorkerCounts(t *testing.T) {
 			goldenStr := fmtResult(golden)
 
 			dir := t.TempDir()
-			mid := sc.Rounds / 2
 			ck := sc
 			ck.StepWorkers = 4
 			ck.CheckpointEvery = mid

@@ -382,6 +382,7 @@ func New(o Options) (*Swarm, error) {
 	// neighborhood up to NeighborCount (incoming introductions count).
 	s.trk.pos = make([]int32, 0, n)
 	s.trk.present = make([]int32, 0, n)
+	s.trk.full = make([]uint64, 0, bmWords(s.slotCap))
 	for i := 0; i < n; i++ {
 		s.trackerRegister(i)
 	}
@@ -568,8 +569,9 @@ func (s *Swarm) grow() {
 }
 
 // addEdge wires a symmetric connection between two present peers, seeding
-// the per-edge transfer state and the incremental interest and availability
-// counters. Callers guarantee headroom on both sides and no existing edge.
+// the per-edge transfer state, the incremental interest and availability
+// counters and the tracker's saturation bits. Callers guarantee headroom on
+// both sides and no existing edge.
 func (s *Swarm) addEdge(a, b *peer) {
 	asl, bsl := a.slot, b.slot
 	ea := asl*s.edgeCap + s.deg[asl]
@@ -586,6 +588,12 @@ func (s *Swarm) addEdge(a, b *peer) {
 	s.availAdd(bsl, a.have)
 	s.deg[asl]++
 	s.deg[bsl]++
+	if s.deg[asl] == s.edgeCap {
+		s.trackerDegreeChanged(a)
+	}
+	if s.deg[bsl] == s.edgeCap {
+		s.trackerDegreeChanged(b)
+	}
 	s.liveDegSum += 2
 	s.markEdgeTouched(asl)
 	s.markEdgeTouched(bsl)
@@ -593,7 +601,8 @@ func (s *Swarm) addEdge(a, b *peer) {
 
 // removeEdgeHalf deletes edge er from q's block by swapping the block's
 // last edge into its place and fixing the moved edge's reverse pointer (and
-// q's optimistic slot, if it referenced either edge).
+// q's optimistic slot, if it referenced either edge). q's saturation bit
+// clears when its degree drops below the cap.
 func (s *Swarm) removeEdgeHalf(q *peer, er int32) {
 	qsl := q.slot
 	last := qsl*s.edgeCap + s.deg[qsl] - 1
@@ -614,6 +623,9 @@ func (s *Swarm) removeEdgeHalf(q *peer, er int32) {
 		}
 	}
 	s.deg[qsl]--
+	if s.deg[qsl] == s.edgeCap-1 {
+		s.trackerDegreeChanged(q)
+	}
 	// liveDegSum tracks present peers only; a crashed peer's halves left
 	// the sum when it crashed, so unwiring them later must not re-subtract.
 	if !q.departed {

@@ -7,17 +7,31 @@ import "stratmatch/internal/telemetry"
 // for neighbor handout. It models a BitTorrent tracker: peers announce on
 // arrival (and re-announce when under-connected) and receive a random
 // subset of the currently registered swarm.
+//
+// full mirrors the present set bit for bit: bit i is set exactly when
+// present[i] sits at the MaxNeighbors degree cap (deg ≥ edgeCap), and no bit
+// at or past len(present) is set. The handout rejects saturated draws on
+// this bit alone — one cached word instead of the present → slot → deg
+// chase — so addEdge and removeEdgeHalf flip a registered peer's bit when
+// its degree crosses the cap. It is derived state: checkpoints do not carry
+// it, LoadCheckpoint rebuilds it from deg.
 type tracker struct {
-	present []int32 // present peer ids, order irrelevant
-	pos     []int32 // id → index in present, −1 when absent
+	present []int32  // present peer ids, order irrelevant
+	pos     []int32  // id → index in present, −1 when absent
+	full    []uint64 // present-indexed saturation bitmap
 }
 
 func (s *Swarm) trackerRegister(id int) {
 	for len(s.trk.pos) < len(s.peers) {
 		s.trk.pos = append(s.trk.pos, -1)
 	}
-	s.trk.pos[id] = int32(len(s.trk.present))
+	i := len(s.trk.present)
+	s.trk.pos[id] = int32(i)
 	s.trk.present = append(s.trk.present, int32(id))
+	if i>>6 == len(s.trk.full) {
+		s.trk.full = append(s.trk.full, 0)
+	}
+	bmPut(s.trk.full, i, s.deg[s.peers[id].slot] >= s.edgeCap)
 }
 
 func (s *Swarm) trackerUnregister(id int) {
@@ -28,6 +42,29 @@ func (s *Swarm) trackerUnregister(id int) {
 	s.trk.pos[moved] = i
 	s.trk.present = s.trk.present[:last]
 	s.trk.pos[id] = -1
+	bmPut(s.trk.full, int(i), bmGet(s.trk.full, int(last)))
+	bmClear(s.trk.full, int(last))
+}
+
+// trackerDegreeChanged keeps a registered peer's saturation bit in step
+// with its degree; unregistered peers (crashed, awaiting the sweep) have no
+// bit.
+func (s *Swarm) trackerDegreeChanged(p *peer) {
+	if i := s.trk.pos[p.id]; i >= 0 {
+		bmPut(s.trk.full, int(i), s.deg[p.slot] >= s.edgeCap)
+	}
+}
+
+// rebuildFull recomputes the saturation bitmap from deg (checkpoint
+// resume). A present id without a slot — only a corrupt checkpoint holds
+// one, and the resume audit rejects it — counts as unsaturated.
+func (s *Swarm) rebuildFull() {
+	s.trk.full = make([]uint64, bmWords(len(s.trk.present)), bmWords(s.slotCap))
+	for i, id := range s.trk.present {
+		if sl := s.peers[id].slot; sl >= 0 && s.deg[sl] >= s.edgeCap {
+			bmSet(s.trk.full, i)
+		}
+	}
 }
 
 // Announce asks the tracker for neighbors: it hands peer id uniformly
@@ -68,8 +105,9 @@ func (s *Swarm) Announce(id int) int {
 	// the trackerd service registry runs the identical policy, so served
 	// handouts match in-sim ones draw for draw.
 	hp := HandoutPolicy{NeighborCount: s.opt.NeighborCount, MaxNeighbors: s.opt.MaxNeighbors}
-	added := hp.Handout((*swarmHandout)(s), s.r, int32(id))
+	added, draws := hp.Handout((*swarmHandout)(s), s.r, int32(id))
 	s.tel.Add(telemetry.CtrAnnounceEdges, added)
+	s.tel.Add(telemetry.CtrHandoutDraws, draws)
 	return added
 }
 

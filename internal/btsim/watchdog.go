@@ -4,10 +4,10 @@ import "fmt"
 
 // CheckInvariants audits the swarm's structural invariants by full recount:
 // roster/slot/tracker agreement, free-list integrity, the present-rank
-// permutation, CSR edge symmetry (rev involution, no self or duplicate
-// edges), the incrementally maintained want and avail counters against
-// their bitfield definitions, and the membership, degree-sum and
-// stale-edge counters. It understands the fault layer: a crashed peer may
+// permutation, the tracker's saturation bitmap, CSR edge symmetry (rev
+// involution, no self or duplicate edges), the incrementally maintained
+// want and avail counters against their bitfield definitions, and the
+// membership, degree-sum and stale-edge counters. It understands the fault layer: a crashed peer may
 // keep its slot and edge block until the failure-detection sweep, and
 // present peers may hold stale edges to it.
 //
@@ -103,6 +103,24 @@ func (s *Swarm) CheckInvariants() error {
 			return fmt.Errorf("btsim: invariant: present ranks are not a permutation (peer %d has rank %d)", id, r)
 		}
 		seenRank[r] = true
+	}
+
+	// The handout's saturation bitmap mirrors deg over the present set,
+	// with nothing set past its end.
+	if len(s.trk.full) < bmWords(len(s.trk.present)) {
+		return fmt.Errorf("btsim: invariant: saturation bitmap has %d words for %d present peers",
+			len(s.trk.full), len(s.trk.present))
+	}
+	for i, id := range s.trk.present {
+		if full := s.deg[s.peers[id].slot] >= s.edgeCap; bmGet(s.trk.full, i) != full {
+			return fmt.Errorf("btsim: invariant: saturation bit %d is %v, peer %d has degree %d of %d",
+				i, !full, id, s.deg[s.peers[id].slot], s.edgeCap)
+		}
+	}
+	for i := len(s.trk.present); i < len(s.trk.full)*64; i++ {
+		if bmGet(s.trk.full, i) {
+			return fmt.Errorf("btsim: invariant: saturation bit %d set past the %d present peers", i, len(s.trk.present))
+		}
 	}
 
 	// Edge structure and the incremental counters it feeds.

@@ -60,11 +60,13 @@ const (
 	// CtrPieces counts piece completions across all peers.
 	CtrPieces
 	// CtrAnnounces counts tracker announces served; CtrAnnounceEdges the
-	// connections those handouts created; CtrAnnounceFailures the announces
-	// lost to outages or announce loss; CtrAnnounceRetries the backoff
-	// retries fired.
+	// connections those handouts created; CtrHandoutDraws the candidate
+	// draws the handouts made (edges ÷ draws is the handout's hit rate);
+	// CtrAnnounceFailures the announces lost to outages or announce loss;
+	// CtrAnnounceRetries the backoff retries fired.
 	CtrAnnounces
 	CtrAnnounceEdges
+	CtrHandoutDraws
 	CtrAnnounceFailures
 	CtrAnnounceRetries
 	// CtrSamples counts time-series samples taken; CtrEvents the discrete
@@ -101,6 +103,7 @@ var counterNames = [numCounters]string{
 	CtrPieces:           "btsim_piece_completions_total",
 	CtrAnnounces:        "btsim_announces_total",
 	CtrAnnounceEdges:    "btsim_announce_edges_total",
+	CtrHandoutDraws:     "btsim_handout_draws_total",
 	CtrAnnounceFailures: "btsim_announce_failures_total",
 	CtrAnnounceRetries:  "btsim_announce_retries_total",
 	CtrSamples:          "btsim_samples_total",

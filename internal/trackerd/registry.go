@@ -70,6 +70,7 @@ type regSwarm struct {
 	pos      []int32          // id → index in present, −1 absent
 	departed []bool
 	nbrs     [][]int32
+	maxDeg   int // the policy's MaxNeighbors, for FullAt
 
 	announces uint64 // served announces (scrape stat)
 	edges     int64  // live symmetric connections
@@ -116,9 +117,10 @@ func (g *Registry) swarm(name string) *regSwarm {
 	defer sh.mu.Unlock()
 	if rs = sh.swarms[name]; rs == nil {
 		rs = &regSwarm{
-			name:  name,
-			r:     rng.New(swarmSeed(g.cfg.Seed, name)),
-			byKey: make(map[string]int32),
+			name:   name,
+			r:      rng.New(swarmSeed(g.cfg.Seed, name)),
+			byKey:  make(map[string]int32),
+			maxDeg: g.cfg.Policy.MaxNeighbors,
 		}
 		sh.swarms[name] = rs
 	}
@@ -129,6 +131,7 @@ func (g *Registry) swarm(name string) *regSwarm {
 
 func (rs *regSwarm) PresentCount() int        { return len(rs.present) }
 func (rs *regSwarm) PresentAt(i int) int32    { return rs.present[i] }
+func (rs *regSwarm) FullAt(i int) bool        { return len(rs.nbrs[rs.present[i]]) >= rs.maxDeg }
 func (rs *regSwarm) DegreeOf(id int32) int    { return len(rs.nbrs[id]) }
 func (rs *regSwarm) SameSide(a, b int32) bool { return true }
 func (rs *regSwarm) Connect(a, b int32) {
@@ -179,7 +182,8 @@ func (rs *regSwarm) announce(hp btsim.HandoutPolicy, id int32) int {
 		return 0
 	}
 	rs.announces++
-	return hp.Handout(rs, rs.r, id)
+	added, _ := hp.Handout(rs, rs.r, id)
+	return added
 }
 
 // depart removes id: unwire every connection (swap-delete on the far

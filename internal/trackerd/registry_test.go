@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"stratmatch/internal/btsim"
+	"stratmatch/internal/telemetry"
 )
 
 func key(id int) string { return fmt.Sprintf("peer-%d", id) }
@@ -17,16 +18,39 @@ func key(id int) string { return fmt.Sprintf("peer-%d", id) }
 // registry hands out exactly the neighbor sets the in-sim tracker builds —
 // the two run the shared btsim.HandoutPolicy over identically-ordered
 // present sets, so every uniform index draw lands on the same id.
+//
+// The saturated case caps degrees one above the handout target, so most
+// peers sit at the cap and most draws are rejected by FullAt: the sim's
+// incrementally kept saturation bitmap must agree, draw for draw, with the
+// registry's direct degree test.
 func TestRegistryMatchesSwarm(t *testing.T) {
+	cases := []struct {
+		name                string
+		leechers, maxDegree int
+		minSaturated        float64 // floor on the final saturated share
+		maxEdgesPerDraw     float64 // ceiling on the sim's handout hit rate
+	}{
+		{name: "default", leechers: 60},
+		{name: "saturated", leechers: 300, maxDegree: 9, minSaturated: 0.5, maxEdgesPerDraw: 0.5},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			matchSwarm(t, tc.leechers, tc.maxDegree, tc.minSaturated, tc.maxEdgesPerDraw)
+		})
+	}
+}
+
+// matchSwarm drives a btsim.Swarm and a registry swarm through the same
+// bootstrap and churn in lockstep, comparing every live peer's neighbor
+// set after each stage. maxDegree 0 keeps both sides' default cap.
+func matchSwarm(t *testing.T, leechers, maxDegree int, minSaturated, maxEdgesPerDraw float64) {
 	const (
 		name      = "prop"
 		baseSeed  = uint64(42)
-		leechers  = 60
 		seeds     = 4
 		neighbors = 8
 	)
 	n := leechers + seeds
-
 	// Reference: the simulator seeded exactly as the registry derives this
 	// swarm's stream. PostFlashCrowd=false keeps the swarm RNG consumed by
 	// announces only, so the streams cannot drift between compared ops.
@@ -36,15 +60,18 @@ func TestRegistryMatchesSwarm(t *testing.T) {
 		Pieces:         16,
 		PostFlashCrowd: false,
 		NeighborCount:  neighbors,
+		MaxNeighbors:   maxDegree,
 		Seed:           swarmSeed(baseSeed, name),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tel := telemetry.New()
+	s.SetTelemetry(tel)
 
 	g := NewRegistry(RegistryConfig{
 		Seed:   baseSeed,
-		Policy: btsim.HandoutPolicy{NeighborCount: neighbors},
+		Policy: btsim.HandoutPolicy{NeighborCount: neighbors, MaxNeighbors: maxDegree},
 	})
 	// Mirror btsim.New's bootstrap: register the whole initial population,
 	// then announce each id in order. (Registry.Announce registers and
@@ -127,6 +154,21 @@ func TestRegistryMatchesSwarm(t *testing.T) {
 			}
 		}
 		compare(fmt.Sprintf("round %d", round))
+	}
+	capDeg := g.Policy().MaxNeighbors
+	saturated := 0
+	for id := range live {
+		if s.Degree(id) >= capDeg {
+			saturated++
+		}
+	}
+	if share := float64(saturated) / float64(len(live)); share < minSaturated {
+		t.Fatalf("%.2f of live peers at the degree cap %d, want at least %.2f", share, capDeg, minSaturated)
+	}
+	edges := float64(tel.Counter(telemetry.CtrAnnounceEdges))
+	draws := float64(tel.Counter(telemetry.CtrHandoutDraws))
+	if maxEdgesPerDraw > 0 && edges > maxEdgesPerDraw*draws {
+		t.Fatalf("handout hit rate %.0f edges / %.0f draws, want at most %.2f", edges, draws, maxEdgesPerDraw)
 	}
 }
 
