@@ -172,7 +172,6 @@ func BenchmarkSwarmStepSharded(b *testing.B) {
 				b.Fatal(err)
 			}
 			sw.SetStepWorkers(workers)
-			defer sw.Close()
 			sw.Run(5)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -195,7 +194,6 @@ func BenchmarkMillionPeerRound(b *testing.B) {
 		b.Fatal(err)
 	}
 	sw.SetStepWorkers(8)
-	defer sw.Close()
 	sw.Run(2)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -319,7 +319,6 @@ func (run *scenarioRun) loop(obs Observer) error {
 	tel := sc.Telemetry // nil when telemetry is off; all hooks no-op
 	s.SetTelemetry(tel)
 	s.SetStepWorkers(sc.StepWorkers)
-	defer s.Close() // release the step-worker pool, if any
 	tObs, _ := obs.(TelemetryObserver)
 	for round := run.start; round < sc.Rounds; round++ {
 		if sc.Interrupt != nil {

@@ -14,7 +14,7 @@ package btsim
 // of the shard index, independent of worker count and of when the shard
 // was materialised) and global state frozen for the phase. The result is
 // therefore byte-identical at any worker count, including workers == 1,
-// which runs the same passes inline with no pool.
+// which runs the same passes inline on the calling goroutine.
 //
 // Cross-shard writes are confined to two order-free channels:
 //
@@ -95,12 +95,10 @@ type shardState struct {
 	slotsPerShard int
 	streams       []*rng.RNG // per-shard choke RNG sub-streams
 
-	workers  int
-	pool     *par.Pool
-	workerFn func(w int)
-	phase    int
-	next     atomic.Int32
-	scratch  []chokeScratch // per-worker; [0] doubles as the serial scratch
+	workers int
+	phase   int
+	taskFn  func(w, k int) // s.runShard, cached so runShards builds no closure
+	scratch []chokeScratch // per-worker; [0] doubles as the serial scratch
 
 	chokeDirty []uint64
 	windowNZ   []uint64
@@ -164,6 +162,7 @@ func (s *Swarm) initShards() {
 	sh.slotsPerShard = defaultShardSlots
 	sh.activeStride = s.opt.TFTSlots + s.opt.OptimisticSlots
 	sh.workers = 1
+	sh.taskFn = s.runShard
 	sh.scratch = make([]chokeScratch, 1)
 	s.initChokeScratch(&sh.scratch[0])
 	s.resizeShards()
@@ -219,27 +218,18 @@ func (s *Swarm) setShardSlots(n int) {
 // is byte-identical at every setting — shards own their RNG sub-streams
 // and all cross-shard effects merge in shard order — so the worker count
 // is a runtime knob, not part of Options and not checkpointed: a run may
-// checkpoint under one worker count and resume under another. Swarms
-// stepped with n > 1 hold a worker pool; Close releases it.
+// checkpoint under one worker count and resume under another. Worker
+// goroutines live only for the duration of each sharded phase, so a swarm
+// holds none between Steps and needs no release.
 func (s *Swarm) SetStepWorkers(n int) {
 	sh := &s.sh
 	if n < 1 {
 		n = 1
 	}
-	if n != sh.workers {
-		if sh.pool != nil {
-			sh.pool.Close()
-			sh.pool = nil
-		}
-		sh.workers = n
-		for len(sh.scratch) < n {
-			sh.scratch = append(sh.scratch, chokeScratch{})
-			s.initChokeScratch(&sh.scratch[len(sh.scratch)-1])
-		}
-		if n > 1 {
-			sh.pool = par.NewPool(n)
-			sh.workerFn = s.shardWorker
-		}
+	sh.workers = n
+	for len(sh.scratch) < n {
+		sh.scratch = append(sh.scratch, chokeScratch{})
+		s.initChokeScratch(&sh.scratch[len(sh.scratch)-1])
 	}
 	s.tel.SetGauge(telemetry.GaugeStepWorkers, int64(n))
 }
@@ -247,46 +237,18 @@ func (s *Swarm) SetStepWorkers(n int) {
 // StepWorkers reports the current worker setting.
 func (s *Swarm) StepWorkers() int { return s.sh.workers }
 
-// Close releases the swarm's worker pool; a no-op for serial swarms and
-// safe to call more than once.
-func (s *Swarm) Close() {
-	if s.sh.pool != nil {
-		s.sh.pool.Close()
-		s.sh.pool = nil
-		s.sh.workers = 1
-	}
-}
-
-// runShards executes one phase over every shard: inline in shard order
-// when serial, via the persistent pool otherwise. Shard handout order is
-// irrelevant to the result (each shard is self-contained for the phase),
-// so the atomic cursor needs no further coordination.
+// runShards executes one phase over every shard on par.ForEachWorker:
+// inline in shard order when serial, otherwise with workers pulling shard
+// indices off its cursor. Shard handout order is irrelevant to the result
+// (each shard is self-contained for the phase).
 func (s *Swarm) runShards(ph int) {
-	n := s.numShards()
-	if s.sh.workers <= 1 || s.sh.pool == nil {
-		for k := 0; k < n; k++ {
-			s.runShard(k, ph, 0)
-		}
-		return
-	}
 	s.sh.phase = ph
-	s.sh.next.Store(0)
-	s.sh.pool.Run(s.sh.workerFn)
+	par.ForEachWorker(s.numShards(), s.sh.workers, s.sh.taskFn)
 }
 
-func (s *Swarm) shardWorker(w int) {
-	n := int32(s.numShards())
+// runShard runs the current phase over shard k on worker w.
+func (s *Swarm) runShard(w, k int) {
 	ph := s.sh.phase
-	for {
-		k := s.sh.next.Add(1) - 1
-		if k >= n {
-			return
-		}
-		s.runShard(int(k), ph, w)
-	}
-}
-
-func (s *Swarm) runShard(k, ph, w int) {
 	sp := s.tel.StartPhase(shardPhaseTel[ph])
 	switch ph {
 	case phChoke:

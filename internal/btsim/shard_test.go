@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
+	"runtime"
 	"testing"
+	"time"
 
 	"stratmatch/internal/checkpoint"
 	"stratmatch/internal/telemetry"
@@ -130,7 +132,6 @@ func boundarySwarm(t *testing.T, workers int) *Swarm {
 func TestShardBoundaryChurnByteIdentical(t *testing.T) {
 	a := boundarySwarm(t, 1)
 	b := boundarySwarm(t, 4)
-	defer b.Close()
 	for round := 0; round < 60; round++ {
 		boundaryChurnOps(a, round)
 		boundaryChurnOps(b, round)
@@ -170,7 +171,6 @@ func TestShardDeltaMergeStress(t *testing.T) {
 	}
 	s.setShardSlots(64) // ~11 shards
 	s.SetStepWorkers(8)
-	defer s.Close()
 	for round := 0; round < 40; round++ {
 		boundaryChurnOps(s, round)
 		s.Step()
@@ -179,6 +179,28 @@ func TestShardDeltaMergeStress(t *testing.T) {
 				t.Fatalf("round %d: %v", round, err)
 			}
 		}
+	}
+}
+
+// TestStepWorkersLeaveNoGoroutines pins that a multi-worker swarm holds no
+// goroutines between Steps: the sharded phases borrow workers only for
+// their own duration, so a swarm dropped without any release call leaves
+// the goroutine count where it was before the swarm existed.
+func TestStepWorkersLeaveNoGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	func() {
+		s := boundarySwarm(t, 4)
+		for round := 0; round < 20; round++ {
+			boundaryChurnOps(s, round)
+			s.Step()
+		}
+	}()
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(time.Second); n > base && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n > base {
+		t.Fatalf("goroutines: %d after dropping a 4-worker swarm, %d before", n, base)
 	}
 }
 

@@ -262,7 +262,7 @@ type Swarm struct {
 
 	// sh is the sharded, event-driven stepping state: shard geometry, the
 	// per-shard RNG sub-streams, dirty bitmaps, per-slot active-transfer
-	// caches and the optional persistent worker pool (see shard.go).
+	// caches and the per-worker choke scratch (see shard.go).
 	sh shardState
 
 	// stats is the engine-maintained incremental series sampler; nil

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"math"
 
 	"stratmatch/internal/btsim"
@@ -48,12 +47,8 @@ func Faults(cfg Config) (*Result, error) {
 		// the spec, so recorded runs stay byte-identical to bare ones.
 		scens[i].Telemetry = cfg.Telemetry
 	}
-	// With Config.CheckpointDir set, completed replicas are persisted and a
-	// rerun only executes the ones that never finished.
-	store := cfg.replicaStore()
 	if err := par.ForEachErr(len(runs), cfg.Workers, func(i int) error {
-		key := fmt.Sprintf("faults-%s-r%d", names[i/replicas], i%replicas)
-		res, err := store.runReplica(key, scens[i])
+		res, err := scens[i].Run()
 		runs[i] = res
 		return err
 	}); err != nil {

@@ -1,8 +1,9 @@
 // Package par provides the bounded worker-pool primitive shared by every
 // fan-out in the repository: cluster sweeps, Monte-Carlo sampling,
-// experiment replicas, and CLI replica studies all hand indexed tasks to
-// min(workers, n) goroutines. Centralizing the loop keeps the scheduling
-// (and any future fixes to it) in one place.
+// experiment replicas, CLI replica studies and the swarm's sharded step
+// phases all hand indexed tasks to min(workers, n) goroutines.
+// Centralizing the loop keeps the scheduling (and any future fixes to it)
+// in one place.
 //
 // Determinism contract for callers: a task must derive its randomness from
 // its own index (or from a sub-stream split off before the fan-out) and

@@ -44,7 +44,11 @@ type LoadGen struct {
 }
 
 // Report is a completed replay's measurement: achieved throughput and
-// announce latency quantiles over every completed request.
+// announce latency quantiles over every completed request. In a paced run
+// (Rate > 0) an announce's latency runs from its due time, start + i/Rate,
+// not from when a worker got around to sending it, so a generator that
+// falls behind reports the queueing delay instead of hiding it
+// (coordinated omission); unpaced runs measure from the send.
 type Report struct {
 	Announces int           `json:"announces"`
 	Errors    int           `json:"errors"`
@@ -146,8 +150,9 @@ func (lg LoadGen) Run(ctx context.Context) (Report, error) {
 				// Open-loop pacing: announce i is due at start + i/Rate,
 				// independent of how long earlier requests took, so the
 				// offered load stays fixed while latency varies.
+				var due time.Time
 				if lg.Rate > 0 {
-					due := start.Add(time.Duration(float64(i) / lg.Rate * float64(time.Second)))
+					due = start.Add(time.Duration(float64(i) / lg.Rate * float64(time.Second)))
 					if d := time.Until(due); d > 0 {
 						select {
 						case <-time.After(d):
@@ -161,7 +166,10 @@ func (lg LoadGen) Run(ctx context.Context) (Report, error) {
 					errs.Add(1)
 					continue
 				}
-				t0 := time.Now()
+				t0 := due
+				if lg.Rate <= 0 {
+					t0 = time.Now()
+				}
 				resp, err := client.Do(req)
 				if err != nil {
 					if ctx.Err() != nil {

@@ -421,3 +421,32 @@ func TestLoadGenPacedDurationKeepsSamples(t *testing.T) {
 		t.Fatalf("quantiles out of order: %+v", rep)
 	}
 }
+
+// TestLoadGenPacedLatencyCountsBacklog pins that a paced replay measures
+// latency from each announce's due time: a daemon slower than the offered
+// rate builds a backlog, and the queueing delay must show in the
+// quantiles rather than be hidden by the late send (coordinated omission).
+// 40 announces due 1 ms apart against a 5 ms handler on one worker finish
+// ~160 ms behind schedule; measured from the send, p99 would read ~5 ms.
+func TestLoadGenPacedLatencyCountsBacklog(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		time.Sleep(5 * time.Millisecond)
+	}))
+	defer ts.Close()
+	lg := LoadGen{
+		BaseURL:     ts.URL,
+		Rate:        1000,
+		Concurrency: 1,
+		Total:       40,
+	}
+	rep, err := lg.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Errors != 0 || rep.Announces != lg.Total {
+		t.Fatalf("announces %d, errors %d; want %d, 0", rep.Announces, rep.Errors, lg.Total)
+	}
+	if rep.P99 < 50*time.Millisecond {
+		t.Fatalf("p99 %v hides the backlog of a 5 ms handler offered 1000/s; want >= 50ms", rep.P99)
+	}
+}

@@ -94,16 +94,11 @@ func (sw *Swarm) SetTelemetry(tel *Telemetry) { sw.s.SetTelemetry(tel) }
 // SetStepWorkers sets how many goroutines the engine's sharded step phases
 // use (n <= 1 steps serially, inline). The simulation trajectory is
 // byte-identical at every setting — the worker count is a runtime knob,
-// like telemetry, not part of SwarmOptions. Swarms stepped with n > 1 hold
-// a worker pool; call Close when done with the swarm to release it.
+// like telemetry, not part of SwarmOptions.
 func (sw *Swarm) SetStepWorkers(n int) { sw.s.SetStepWorkers(n) }
 
 // StepWorkers reports the current step-worker setting.
 func (sw *Swarm) StepWorkers() int { return sw.s.StepWorkers() }
-
-// Close releases the swarm's step-worker pool. A no-op for serial swarms
-// and safe to call more than once.
-func (sw *Swarm) Close() { sw.s.Close() }
 
 // Dynamic-membership scenarios: composable arrival processes, lifecycle
 // departures and scheduled shocks, run by a deterministic scenario driver.
